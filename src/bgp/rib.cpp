@@ -1,5 +1,10 @@
 #include "bgp/rib.hpp"
 
+#include <algorithm>
+#include <atomic>
+
+#include "obs/metrics.hpp"
+#include "obs/names.hpp"
 #include "util/hash.hpp"
 #include "util/result.hpp"
 
@@ -17,24 +22,107 @@ std::string Route::to_string() const {
   return out;
 }
 
+namespace {
+std::atomic<std::uint64_t> g_table_copies{0};
+}  // namespace
+
+std::uint64_t rib_table_copy_count() noexcept {
+  return g_table_copies.load(std::memory_order_relaxed);
+}
+
+const Route* RouteTable::find(const util::IpPrefix& prefix) const {
+  const auto at = lower_bound(prefix);
+  return at != entries_.end() && at->prefix == prefix ? at->route.get() : nullptr;
+}
+
+std::vector<RouteTable::Entry>::const_iterator RouteTable::lower_bound(
+    const util::IpPrefix& prefix) const {
+  return std::lower_bound(
+      entries_.begin(), entries_.end(), prefix,
+      [](const Entry& entry, const util::IpPrefix& key) { return entry.prefix < key; });
+}
+
+bool RouteTable::operator==(const RouteTable& other) const {
+  return std::equal(entries_.begin(), entries_.end(), other.entries_.begin(),
+                    other.entries_.end(), [](const Entry& a, const Entry& b) {
+                      return a.prefix == b.prefix &&
+                             (a.route == b.route || *a.route == *b.route);
+                    });
+}
+
+/// A table and its owner count. The decrement (acq_rel) and the uniqueness
+/// check (acquire) order every other owner's reads before a sole owner's
+/// in-place write or delete.
+struct Rib::Shared {
+  std::atomic<long> owners{1};
+  Table table;
+};
+
+Rib::Rib(const Rib& other) noexcept : shared_(other.shared_) {
+  if (shared_ != nullptr) shared_->owners.fetch_add(1, std::memory_order_relaxed);
+}
+
+void Rib::release() noexcept {
+  if (shared_ != nullptr && shared_->owners.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    delete shared_;
+  }
+  shared_ = nullptr;
+}
+
+long Rib::use_count() const noexcept {
+  return shared_ == nullptr ? 0 : shared_->owners.load(std::memory_order_acquire);
+}
+
+const Rib::Table& Rib::table() const noexcept {
+  static const Table kEmpty;
+  return shared_ == nullptr ? kEmpty : shared_->table;
+}
+
+Rib::Table& Rib::mutable_table() {
+  if (shared_ == nullptr) {
+    shared_ = new Shared;
+  } else if (use_count() != 1) {
+    auto* copy = new Shared{{1}, shared_->table};
+    release();
+    shared_ = copy;
+    g_table_copies.fetch_add(1, std::memory_order_relaxed);
+    static obs::Counter& copies =
+        obs::MetricsRegistry::global().counter(obs::names::kRibTableCopies);
+    copies.add();
+  }
+  return shared_->table;
+}
+
 bool Rib::upsert(Route route) {
-  // try_emplace only constructs the mapped value when it inserts, so the
-  // move below never fires on the replace path (where `route` is still
-  // needed for the comparison). Pair members initialize first-then-second:
-  // the key is copied out of `route` before the move runs.
-  auto [it, inserted] = table_.try_emplace(route.prefix, std::move(route));
-  if (inserted) return true;
-  if (it->second == route) return false;
-  it->second = std::move(route);
+  // Look before writing: an equal route must leave a shared table shared.
+  // Positions, not iterators, survive the copy mutable_table() may make.
+  const Table& current = table();
+  const auto at = current.lower_bound(route.prefix);
+  const auto index = at - current.entries_.begin();
+  const bool present = at != current.entries_.end() && at->prefix == route.prefix;
+  if (present && *at->route == route) return false;
+  const util::IpPrefix prefix = route.prefix;
+  auto shared = std::make_shared<const Route>(std::move(route));
+  std::vector<RouteTable::Entry>& entries = mutable_table().entries_;
+  if (present) {
+    entries[index].route = std::move(shared);
+  } else {
+    entries.insert(entries.begin() + index, RouteTable::Entry{prefix, std::move(shared)});
+  }
   return true;
 }
 
-bool Rib::erase(const util::IpPrefix& prefix) { return table_.erase(prefix) > 0; }
-
-const Route* Rib::find(const util::IpPrefix& prefix) const {
-  auto it = table_.find(prefix);
-  return it == table_.end() ? nullptr : &it->second;
+bool Rib::erase(const util::IpPrefix& prefix) {
+  const Table& current = table();
+  const auto at = current.lower_bound(prefix);
+  if (at == current.entries_.end() || at->prefix != prefix) return false;  // keeps sharing
+  const auto index = at - current.entries_.begin();
+  std::vector<RouteTable::Entry>& entries = mutable_table().entries_;
+  entries.erase(entries.begin() + index);
+  return true;
 }
+
+const Route* Rib::find(const util::IpPrefix& prefix) const { return table().find(prefix); }
 
 std::uint64_t Rib::content_hash() const {
   ByteWriter w;
@@ -182,8 +270,8 @@ Result<Route> deserialize_route(ByteReader& r) {
 }
 
 void Rib::serialize(ByteWriter& w) const {
-  w.u32(static_cast<std::uint32_t>(table_.size()));
-  for (const auto& [prefix, route] : table_) serialize_route(w, route);
+  w.u32(static_cast<std::uint32_t>(size()));
+  for (const auto& [prefix, route] : table()) serialize_route(w, route);
 }
 
 Result<Rib> Rib::deserialize(ByteReader& r) {
@@ -193,7 +281,9 @@ Result<Rib> Rib::deserialize(ByteReader& r) {
   for (std::uint32_t i = 0; i < count.value(); ++i) {
     auto route = deserialize_route(r);
     if (!route) return route.error();
-    rib.table_.emplace(route.value().prefix, std::move(route).take());
+    // A serialized table is sorted, so entries append; a repeated prefix
+    // keeps its first route, as a map emplace would.
+    if (rib.find(route.value().prefix) == nullptr) rib.upsert(std::move(route).take());
   }
   return rib;
 }

@@ -15,6 +15,7 @@
 #include <map>
 #include <memory>
 
+#include "bgp/checkpoint_codec.hpp"
 #include "bgp/codec.hpp"
 #include "bgp/config.hpp"
 #include "bgp/decision.hpp"
@@ -29,16 +30,11 @@ namespace dice::bgp {
 /// once per clone (bench_clone_restore reads the deltas).
 [[nodiscard]] std::uint64_t checkpoint_decode_count() noexcept;
 
-/// Typed form of a router checkpoint: everything BgpRouter::checkpoint
+/// Typed form of a router checkpoint: every section BgpRouter::checkpoint
 /// serializes, parsed once and shared read-only by all clones restoring
-/// from the same snapshot.
-struct RouterCheckpoint final : snapshot::DecodedCheckpoint {
-  std::vector<std::pair<sim::NodeId, SessionCheckpoint>> sessions;
-  std::vector<std::pair<sim::NodeId, Rib>> adj_in;
-  Rib loc_rib;
-  std::vector<std::pair<sim::NodeId, Rib>> adj_out;
-  std::vector<std::pair<util::IpPrefix, std::uint32_t>> best_flips;
-};
+/// from the same snapshot. Its RIBs are never written after parse: clones
+/// share their tables and write only to private copies (rib.hpp).
+struct RouterCheckpoint final : snapshot::DecodedCheckpoint, ckpt::RouterStateV2 {};
 
 class BgpRouter final : public NodeImplementation, public SessionHost {
  public:
@@ -106,15 +102,10 @@ class BgpRouter final : public NodeImplementation, public SessionHost {
   // parse() additionally accepts legacy fixed-width streams (first byte !=
   // kFormatV2), so checkpoints captured before the format change restore.
   void checkpoint(util::ByteWriter& writer) const override;
-  /// One-shot restore, fused for v2 streams: the decoded sections are MOVED
-  /// into this router instead of being materialized as a shareable
-  /// RouterCheckpoint and then deep-copied — half the per-route cost when
-  /// the decode feeds exactly one instance (System::reset_from_raw, the
-  /// warm-start resume from a persisted cut). Legacy streams fall back to
-  /// the inherited parse + apply. State-identical to that pair either way.
-  [[nodiscard]] util::Status restore(util::ByteReader& reader) override;
   [[nodiscard]] util::Result<std::shared_ptr<const snapshot::DecodedCheckpoint>> parse(
       util::ByteReader& reader) const override;
+  /// Installs a decoded checkpoint, sharing its RIB tables copy-on-write
+  /// (rib.hpp): a refcount bump per table, no route copied.
   [[nodiscard]] util::Status apply(const snapshot::DecodedCheckpoint& state) override;
   /// Delta-aware encode: when `baseline` is the snapshot this router last
   /// encoded into and no checkpointed state changed since (tracked by a
@@ -152,12 +143,6 @@ class BgpRouter final : public NodeImplementation, public SessionHost {
  private:
   [[nodiscard]] util::Result<std::shared_ptr<const snapshot::DecodedCheckpoint>> parse_v2(
       util::ByteReader& reader) const;
-  /// Shared tail of apply() and the fused restore(): installs a decoded v2
-  /// state. `State` is `const RouterCheckpoint&` (copy: the decoded form is
-  /// shared across clones) or `ckpt::RouterStateV2&&` (move: uniquely owned
-  /// by a one-shot restore).
-  template <typename State>
-  [[nodiscard]] util::Status apply_state(State&& state);
   [[nodiscard]] util::Result<std::shared_ptr<const snapshot::DecodedCheckpoint>>
   parse_legacy(util::ByteReader& reader) const;
   void originate_networks();

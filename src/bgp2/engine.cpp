@@ -473,6 +473,7 @@ util::Status FsmEngine::apply(const snapshot::DecodedCheckpoint& state) {
   }
 
   bus_.reset();
+  // Rib copies share the decoded tables (copy-on-write, bgp/rib.hpp).
   adj_in_.clear();
   for (const auto& [peer, rib] : decoded->state.adj_in) adj_in_[peer] = rib;
   loc_rib_ = decoded->state.loc_rib;

@@ -123,14 +123,23 @@ bool Orchestrator::bootstrap_cached(explore::LiveStateCache& cache, std::uint64_
     return last_bootstrap_.quiesced;
   }
   if (lookup.state == nullptr) return bootstrap(max_events);  // uncacheable key
-  if (auto status = live_->resume_from(*lookup.state); !status) {
-    logger().warn() << "live-state resume failed (" << status.error().to_string()
+  auto resumed = live_->resume_from(*lookup.state);
+  if (!resumed) {
+    logger().warn() << "live-state resume failed (" << resumed.error().to_string()
                     << "); bootstrapping fresh";
     // A mid-apply failure leaves the instance half-seeded with foreign
     // state; rebuild it so the fallback bootstrap starts from the same
     // blank System a fresh cell would.
     live_ = std::make_unique<System>(prototype_);
     return bootstrap(max_events);
+  }
+  if (lookup.state->snapshot == nullptr) {
+    // The entry was raw-only (primed from a persisted store) and this
+    // resume decoded it: publish the decoded form, keeping `raw` so the
+    // store harvest still persists it, and later resumes share it.
+    auto decoded = std::make_shared<snapshot::PreparedLiveState>(*lookup.state);
+    decoded->snapshot = std::move(resumed).take();
+    (void)cache.replace(key, std::move(decoded));
   }
   last_bootstrap_ = {lookup.state->quiesced, lookup.state->oscillation_exit};
   bootstrap_from_cache_ = true;

@@ -152,7 +152,10 @@ class Orchestrator {
   /// bootstraps normally and — when the live system quiesced — donates a
   /// PreparedLiveState capture to `cache`; concurrent same-key callers
   /// block on the key's once-latch meanwhile. On a hit the live system is
-  /// resume_from'd in microseconds instead of replaying bootstrap. Keys
+  /// resume_from'd in microseconds instead of replaying bootstrap; a
+  /// raw-only entry (primed from a persisted store) is decoded by that
+  /// first resume and its decoded form published back (keeping `raw`), so
+  /// later resumes of the key decode nothing. Keys
   /// that resolved non-quiescent (uncacheable) replay bootstrap, which the
   /// bootstrap early-exit keeps cheap. Fault sets are byte-identical to
   /// per-cell fresh bootstraps either way.

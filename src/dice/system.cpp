@@ -1,5 +1,6 @@
 #include "dice/system.hpp"
 
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -174,43 +175,6 @@ util::Status System::reset_from(const snapshot::PreparedSnapshot& prepared,
   return util::Status::success();
 }
 
-util::Status System::reset_from_raw(const snapshot::Snapshot& snap,
-                                    sim::Time resume_at) {
-  // Mirrors reset_from step for step: same rewind sequence, node states
-  // installed in ascending node-id order (snap.nodes is an ordered map,
-  // matching PreparedSnapshot's node order), frames re-injected with the
-  // same per-channel 0,1,2... offsets PreparedSnapshot::build records. Any
-  // divergence here would break the cold-vs-warm fault-byte identity that
-  // tests/svc_soak_test.cpp pins.
-  sim_.reset();
-  sim_.fast_forward(resume_at);
-  net_.reset_dynamic();
-  coordinator_.reset();
-  delta_baseline_.reset();  // reuse crosses snapshot lineages
-  for (auto& router : routers_) router->reset_for_reuse();
-
-  for (const auto& [node, checkpoint] : snap.nodes) {
-    if (node >= routers_.size()) return util::make_error("system.reset.unknown_node");
-    util::ByteReader reader(checkpoint.state);
-    if (auto status = routers_[node]->restore(reader); !status) {
-      logger().error() << "reset_from_raw failed for node " << node << ": "
-                       << status.error().to_string();
-      return status;
-    }
-  }
-  for (const auto& [key, payloads] : snap.channels) {
-    sim::Time offset = 0;
-    for (const util::Bytes& payload : payloads) {
-      sim::Frame frame;
-      frame.kind = sim::FrameKind::kData;
-      frame.payload = payload;
-      net_.inject(key.from, key.to, std::move(frame), offset);
-      offset += 1;  // one microsecond apart keeps ordering deterministic
-    }
-  }
-  return util::Status::success();
-}
-
 std::shared_ptr<snapshot::PreparedLiveState> System::capture_live_state(
     sim::NodeId initiator) {
   // Record the bootstrap's own event count before the marker sweep below
@@ -219,34 +183,36 @@ std::shared_ptr<snapshot::PreparedLiveState> System::capture_live_state(
   const std::uint64_t bootstrap_executed = sim_.executed();
   const snapshot::SnapshotId id = take_snapshot(initiator);
   if (id == 0) return nullptr;
-  // Copy the raw cut out before the store drops it: the encoded form is
-  // what svc::ArtifactStore persists across process restarts (the decoded
-  // form below is bound to THIS process's router objects).
-  std::shared_ptr<const snapshot::Snapshot> raw;
-  if (const snapshot::Snapshot* snap = store_.find(id)) {
-    raw = std::make_shared<const snapshot::Snapshot>(*snap);
-  }
   auto prepared = prepare_snapshot(id);
-  // The capture cut is standalone: drop it from the live store so the
+  // The capture cut is standalone: move it out of the live store so the
   // caller's per-episode take_snapshot/trim lifecycle sees nothing extra.
-  // The shared_ptr keeps the decoded state alive for every cache holder.
-  store_.erase(id);
-  if (prepared == nullptr) return nullptr;
+  // The raw form is what svc::ArtifactStore persists across restarts.
+  std::optional<snapshot::Snapshot> raw = store_.take(id);
+  if (prepared == nullptr || !raw.has_value()) return nullptr;
   auto state = std::make_shared<snapshot::PreparedLiveState>();
   state->snapshot = std::move(prepared);
-  state->raw = std::move(raw);
+  state->raw = std::make_shared<const snapshot::Snapshot>(std::move(*raw));
   state->resume_at = sim_.now();
   state->bootstrap_executed = bootstrap_executed;
   return state;
 }
 
-util::Status System::resume_from(const snapshot::PreparedLiveState& state) {
-  // Decoded form when available (shared across many resumes); otherwise the
-  // raw cut through the fused one-shot restore (a warm-restarted daemon's
-  // first resume, before the round-end promotion decodes the entry).
-  if (state.snapshot != nullptr) return reset_from(*state.snapshot, state.resume_at);
-  if (state.raw != nullptr) return reset_from_raw(*state.raw, state.resume_at);
-  return util::make_error("system.resume.empty_state");
+util::Result<std::shared_ptr<const snapshot::PreparedSnapshot>> System::resume_from(
+    const snapshot::PreparedLiveState& state) {
+  std::shared_ptr<const snapshot::PreparedSnapshot> prepared = state.snapshot;
+  if (prepared == nullptr) {
+    if (state.raw == nullptr) return util::make_error("system.resume.empty_state");
+    // Raw-only (a warm-restarted daemon's primed entry): decode it once
+    // against this System's own routers; the caller publishes the result.
+    auto built = snapshot::PreparedSnapshot::build(
+        *state.raw, [this](sim::NodeId node) -> const snapshot::Checkpointable* {
+          return node < routers_.size() ? routers_[node].get() : nullptr;
+        });
+    if (!built) return built.error();
+    prepared = std::move(built).take();
+  }
+  if (auto status = reset_from(*prepared, state.resume_at); !status) return status.error();
+  return prepared;
 }
 
 std::unique_ptr<System> System::clone_from(const bgp::SystemBlueprint& blueprint,

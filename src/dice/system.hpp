@@ -5,7 +5,8 @@
 //     beyond marker frames (paper: DiCE "operates alongside the deployed
 //     system but in isolation from it");
 //   - *clones*: shadow instances reconstructed from a consistent snapshot
-//     (System::clone_from), where inputs are subjected and checks run.
+//     (System::reset_from, sharing its RIB tables copy-on-write), where
+//     inputs are subjected and checks run.
 #pragma once
 
 #include <memory>
@@ -110,29 +111,18 @@ class System {
   /// channels, resets every router, applies the typed checkpoints and
   /// re-injects the prepared frame schedule. No byte decoding, no
   /// construction — the restore-many half of decode-once/restore-many.
+  /// Routers share the prepared RIB tables (copy-on-write, bgp/rib.hpp):
+  /// a refcount bump per table, and `prepared` is never written through.
   /// The result is bit-identical to a fresh clone_from of the same cut.
   /// `resume_at` fast-forwards the rewound clock before any timer re-arms
   /// (live-state resume); clones keep the default 0.
   [[nodiscard]] util::Status reset_from(const snapshot::PreparedSnapshot& prepared,
                                         sim::Time resume_at = 0);
 
-  /// Raw-cut sibling of reset_from: re-seeds THIS instance straight from an
-  /// encoded Snapshot via the routers' fused one-shot restore — parse and
-  /// install in a single pass, no intermediate shareable decode. Same reset
-  /// sequence, same apply order, same frame-injection offsets, so the
-  /// result is bit-identical to reset_from(prepared-form-of-snap). This is
-  /// the warm-restart path: a daemon resuming a persisted cut restores it
-  /// exactly once, so the decode-once/restore-many split buys nothing and
-  /// the fused restore halves the per-route bill. Delta-encoded cuts
-  /// (kCheckpointSameAsBaseline envelopes) fail with the usual typed error
-  /// — persisted captures are always standalone (live_state.hpp).
-  [[nodiscard]] util::Status reset_from_raw(const snapshot::Snapshot& snap,
-                                            sim::Time resume_at = 0);
-
   /// Captures this (converged, live) system's state as the cacheable
   /// bootstrap artifact: takes a consistent snapshot, prepares it
   /// (decode-once) and wraps it with the simulator resume point. The raw
-  /// snapshot is erased from the store again — the capture is standalone
+  /// snapshot is moved out of the store into `raw` — the capture is standalone
   /// and must not perturb the per-episode snapshot lifecycle. Marker
   /// frames sweep the system but leave every router's protocol state
   /// untouched, so the caller's own episodes are unaffected. nullptr when
@@ -144,7 +134,11 @@ class System {
   /// state: reset_from the embedded cut, with the clock resumed at the
   /// donor's bootstrap end. Valid on a freshly constructed (never started)
   /// System — the LiveStateCache fast path that replaces start()+converge.
-  [[nodiscard]] util::Status resume_from(const snapshot::PreparedLiveState& state);
+  /// A raw-only state (primed from a store) is first decoded once, this
+  /// System's routers acting as resolver. Returns the decoded cut applied —
+  /// `state.snapshot`, or the fresh decode for the caller to publish.
+  [[nodiscard]] util::Result<std::shared_ptr<const snapshot::PreparedSnapshot>> resume_from(
+      const snapshot::PreparedLiveState& state);
 
   /// Builds a clone of `snapshot` (same blueprint, restored state,
   /// re-injected in-flight frames) as a fresh isolated System — the legacy

@@ -110,7 +110,7 @@ bool LiveStateCache::replace(const Key& key,
   auto fresh = std::make_shared<Entry>();
   fresh->state = std::move(state);
   fresh->resolved.store(true, std::memory_order_release);
-  fresh->last_used = it->second->last_used;  // promotion is not a use
+  fresh->last_used = it->second->last_used;  // publishing is not a use
   it->second = std::move(fresh);
   return true;
 }

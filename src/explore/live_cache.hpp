@@ -116,8 +116,9 @@ class LiveStateCache {
   /// alive. No-op when the key is absent (trimmed meanwhile) or its compute
   /// is still in flight (the computing worker will publish its own result;
   /// racing it would lose an in-flight latch queue). Returns true when the
-  /// swap happened. Used by svc::SoakService to promote raw-only primed
-  /// entries to their decoded form after the first warm round.
+  /// swap happened. Used by core::Orchestrator::bootstrap_cached to
+  /// publish the decoded form of a raw-only primed entry after the resume
+  /// that decoded it.
   bool replace(const Key& key, std::shared_ptr<const snapshot::PreparedLiveState> state);
 
   /// Drops every entry. Holders of returned states (and workers blocked on

@@ -43,6 +43,7 @@ inline constexpr std::string_view kLiveCacheEvictions =
 
 // --- snapshot / checkpoint pipeline ----------------------------------------
 inline constexpr std::string_view kCheckpointDecodes = "dice_checkpoint_decodes_total";
+inline constexpr std::string_view kRibTableCopies = "dice_rib_table_copies_total";
 inline constexpr std::string_view kSnapshots = "dice_snapshots_total";
 inline constexpr std::string_view kSnapshotDeltaNodes =
     "dice_snapshot_delta_nodes_total";

@@ -51,7 +51,7 @@ class Checkpointable {
 
   /// One-shot restore (parse + apply). Kept for callers that only restore
   /// a checkpoint once and have no reason to share the decoded form.
-  [[nodiscard]] virtual util::Status restore(util::ByteReader& reader);
+  [[nodiscard]] util::Status restore(util::ByteReader& reader);
 
   /// Content hash of the checkpointed state; clones must reproduce it.
   [[nodiscard]] virtual std::uint64_t state_hash() const;

@@ -29,6 +29,8 @@ namespace dice::snapshot {
 struct PreparedLiveState {
   /// Typed per-node checkpoints + pre-built in-flight frame schedule
   /// (empty for a quiescent capture) — shared with any concurrent holder.
+  /// Null in a raw-only state primed from a persisted store: the first
+  /// System::resume_from decodes `raw` and the cache publishes the result.
   std::shared_ptr<const PreparedSnapshot> snapshot;
   /// The raw (encoded) cut the decoded form above was built from. Kept so
   /// the capture can be serialized — svc::ArtifactStore persists these raw

@@ -76,6 +76,14 @@ void SnapshotStore::erase(SnapshotId id) {
   prepared_.erase(id);
 }
 
+std::optional<Snapshot> SnapshotStore::take(SnapshotId id) {
+  const std::unique_lock lock(mutex_);
+  prepared_.erase(id);
+  auto node = snapshots_.extract(id);
+  if (node.empty()) return std::nullopt;
+  return std::move(node.mapped());
+}
+
 void SnapshotStore::trim(std::size_t keep) {
   const std::unique_lock lock(mutex_);
   while (snapshots_.size() > keep) {

@@ -65,6 +65,9 @@ class SnapshotStore {
   [[nodiscard]] const Snapshot* find(SnapshotId id) const;
   [[nodiscard]] std::size_t size() const;
   void erase(SnapshotId id);
+  /// erase() that hands the raw cut to the caller instead of destroying it
+  /// (moved out, not copied). nullopt when `id` is unknown.
+  [[nodiscard]] std::optional<Snapshot> take(SnapshotId id);
   /// Drops all but the most recent `keep` snapshots (bounded memory in
   /// long-running online testing). Prepared entries are trimmed in step.
   void trim(std::size_t keep);

@@ -13,8 +13,11 @@
 //    determinism per round is untouched);
 //  * it persists warm-start state (svc::ArtifactStore): harvested
 //    PreparedLiveStates and the proven-UNSAT solver memo survive the
-//    process, so a killed-and-restarted daemon resumes bootstraps in
-//    microseconds instead of replaying them;
+//    process, so a killed-and-restarted daemon resumes bootstraps instead
+//    of replaying them. The store primes the cache raw-only; the first
+//    resume of each key decodes its cut once and publishes the decoded
+//    form, and every later resume shares it (one resume path, no
+//    background promotion);
 //  * live knobs: swap_options() validates a whole CampaignOptions and
 //    applies it exactly at the next round boundary — a rejected swap keeps
 //    the old options and returns the typed "campaign.options.*" error, and
@@ -210,6 +213,9 @@ class SoakService {
   /// cause), empty code when the last load succeeded or never ran.
   [[nodiscard]] util::Error store_error() const;
   [[nodiscard]] const SoakOptions& options() const noexcept { return options_; }
+  /// The service-owned bootstrap cache (read-only; its methods are
+  /// thread-safe): which keys are primed, raw-only or decoded.
+  [[nodiscard]] const explore::LiveStateCache& live_cache() const noexcept { return cache_; }
 
  private:
   void loop();
@@ -219,17 +225,13 @@ class SoakService {
   /// Rebuilds campaign_ from `options` with the service's cache wiring.
   void build_campaign_locked(const explore::CampaignOptions& options);
   /// Publishes contents_' artifacts into the bootstrap cache as raw-only
-  /// entries (no decode — the first resume per key takes the fused
-  /// one-shot restore). Returns how many primed. Caller holds mutex_.
+  /// entries (no decode at boot — the first resume per key decodes once
+  /// and publishes the decoded form). Returns how many primed. Caller
+  /// holds mutex_.
   std::size_t prime_cache_locked();
   /// Folds a finished round's cache/solver state back into contents_.
   /// Caller holds mutex_.
   void harvest_locked(const explore::MatrixResult& result);
-  /// Decodes any still-raw-only cache entries into their shareable
-  /// PreparedSnapshot form and swaps them in (LiveStateCache::replace), so
-  /// rounds 2+ resume without re-parsing. Runs at round end, off the
-  /// restart-critical path. Caller holds mutex_.
-  void promote_decoded_locked();
   [[nodiscard]] util::Status persist_locked();
 
   std::vector<explore::ScenarioSpec> scenarios_;

@@ -2,7 +2,9 @@
 // pipeline must be observationally identical to the legacy decode-per-clone
 // path (same per-node state hashes, same fixpoints, same cut hashes), decode
 // each checkpoint exactly once, and keep prepared state alive through the
-// shared_ptr handle even while the store trims entries concurrently.
+// shared_ptr handle even while the store trims entries concurrently. RIB
+// tables are copy-on-write: clones share the prepared tables and never
+// write through them, however many clones converge or on how many threads.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,6 +12,7 @@
 
 #include "dice/system.hpp"
 #include "explore/arena.hpp"
+#include "util/hash.hpp"
 
 namespace dice::snapshot {
 namespace {
@@ -25,6 +28,32 @@ using core::SystemPrototype;
   EXPECT_NE(id, 0u);
   if (id_out != nullptr) *id_out = id;
   return system.prepare_snapshot(id);
+}
+
+[[nodiscard]] const bgp::RouterCheckpoint& router_checkpoint(const PreparedSnapshot& prepared,
+                                                            sim::NodeId node) {
+  return dynamic_cast<const bgp::RouterCheckpoint&>(*prepared.nodes().at(node).state);
+}
+
+/// Content hash over every decoded RIB table of the prepared snapshot.
+[[nodiscard]] std::uint64_t decoded_tables_hash(const PreparedSnapshot& prepared) {
+  std::uint64_t h = util::kFnvOffset;
+  for (const auto& [node, entry] : prepared.nodes()) {
+    const bgp::RouterCheckpoint& checkpoint = router_checkpoint(prepared, node);
+    h = util::hash_mix(h, checkpoint.loc_rib.content_hash());
+    for (const auto& [peer, rib] : checkpoint.adj_in) h = util::hash_mix(h, rib.content_hash());
+    for (const auto& [peer, rib] : checkpoint.adj_out) h = util::hash_mix(h, rib.content_hash());
+  }
+  return h;
+}
+
+/// A clone's input: administratively reset one session of `node` (no
+/// auto-restart, so the flush propagates) and converge.
+void reset_and_converge(System& clone, sim::NodeId node) {
+  bgp::BgpRouter& router = clone.bgp_router(node);
+  router.set_auto_restart(false);
+  router.reset_session(router.sessions().begin()->first);
+  (void)clone.converge(100'000);
 }
 
 TEST(PreparedSnapshotTest, BuildMatchesRawSnapshotAndDecodesOncePerNode) {
@@ -92,6 +121,102 @@ TEST(PreparedSnapshotTest, ResetFromMatchesLegacyCloneExactly) {
   System another(prototype);
   ASSERT_TRUE(another.reset_from(*prepared).ok());
   EXPECT_EQ(bgp::checkpoint_decode_count(), decodes_before);
+}
+
+TEST(PreparedSnapshotTest, ResetSharesPreparedTablesAndNeverWritesThrough) {
+  auto prototype = std::make_shared<const SystemPrototype>(make_internet({2, 3, 4}));
+  System live(prototype);
+  live.start();
+  ASSERT_TRUE(live.converge());
+  const auto prepared = snapshot_and_prepare(live, 0);
+  ASSERT_NE(prepared, nullptr);
+  const std::uint64_t hash_before = decoded_tables_hash(*prepared);
+
+  // Right after reset_from, every router table IS the prepared table: the
+  // reset copied nothing.
+  const std::uint64_t copies_before = bgp::rib_table_copy_count();
+  System clone(prototype);
+  ASSERT_TRUE(clone.reset_from(*prepared).ok());
+  EXPECT_EQ(bgp::rib_table_copy_count(), copies_before);
+  for (std::size_t i = 0; i < clone.size(); ++i) {
+    const sim::NodeId node = static_cast<sim::NodeId>(i);
+    const bgp::RouterCheckpoint& checkpoint = router_checkpoint(*prepared, node);
+    const bgp::BgpRouter& router = clone.bgp_router(node);
+    EXPECT_EQ(&router.loc_rib().table(), &checkpoint.loc_rib.table()) << "node " << i;
+    for (const auto& [peer, rib] : checkpoint.adj_in) {
+      ASSERT_NE(router.adj_rib_in(peer), nullptr);
+      EXPECT_EQ(&router.adj_rib_in(peer)->table(), &rib.table()) << "node " << i;
+    }
+    for (const auto& [peer, rib] : checkpoint.adj_out) {
+      ASSERT_NE(router.adj_rib_out(peer), nullptr);
+      EXPECT_EQ(&router.adj_rib_out(peer)->table(), &rib.table()) << "node " << i;
+    }
+  }
+
+  // Many arena clones converge with inputs; each copies only what it
+  // writes, and the prepared tables read exactly as before.
+  explore::CloneArena arena;
+  for (std::size_t round = 0; round < 3 * clone.size(); ++round) {
+    bool reused = false;
+    System* worker = arena.acquire(prototype, *prepared, reused);
+    ASSERT_NE(worker, nullptr);
+    reset_and_converge(*worker, static_cast<sim::NodeId>(round % worker->size()));
+  }
+  EXPECT_GT(bgp::rib_table_copy_count(), copies_before);  // the inputs did write
+  EXPECT_EQ(decoded_tables_hash(*prepared), hash_before);
+  // The untouched clone still shares (and still reads) the prepared state.
+  EXPECT_EQ(&clone.bgp_router(0).loc_rib().table(),
+            &router_checkpoint(*prepared, 0).loc_rib.table());
+}
+
+TEST(PreparedSnapshotTest, ConcurrentClonesOfOneSharedSnapshotMutateOnlyTheirCopies) {
+  // N workers reset from ONE prepared snapshot and write to their copies at
+  // once. Under TSan/ASan this is the receipt that shared tables are only
+  // read and un-shares race nothing; every clone must reach the fixpoint a
+  // serial clone reaches from the same input.
+  auto prototype = std::make_shared<const SystemPrototype>(make_internet({2, 3, 4}));
+  System live(prototype);
+  live.start();
+  ASSERT_TRUE(live.converge());
+  const auto prepared = snapshot_and_prepare(live, 0);
+  ASSERT_NE(prepared, nullptr);
+  const std::uint64_t hash_before = decoded_tables_hash(*prepared);
+
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kRounds = 6;
+  // Serial reference fixpoint per input node.
+  std::vector<std::uint64_t> expected(prototype->size());
+  for (std::size_t node = 0; node < prototype->size(); ++node) {
+    System reference(prototype);
+    ASSERT_TRUE(reference.reset_from(*prepared).ok());
+    reset_and_converge(reference, static_cast<sim::NodeId>(node));
+    expected[node] = reference.router(0).loc_rib().content_hash();
+  }
+
+  std::atomic<std::size_t> mismatches{0};
+  std::vector<std::thread> workers;
+  workers.reserve(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      explore::CloneArena arena;
+      for (std::size_t round = 0; round < kRounds; ++round) {
+        bool reused = false;
+        System* clone = arena.acquire(prototype, *prepared, reused);
+        const std::size_t node = (t * kRounds + round) % prototype->size();
+        if (clone == nullptr) {
+          mismatches.fetch_add(1);
+          continue;
+        }
+        reset_and_converge(*clone, static_cast<sim::NodeId>(node));
+        if (clone->router(0).loc_rib().content_hash() != expected[node]) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_EQ(decoded_tables_hash(*prepared), hash_before);
 }
 
 TEST(PreparedSnapshotTest, ArenaReuseIsIndistinguishableFromFreshClone) {

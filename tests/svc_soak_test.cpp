@@ -5,7 +5,9 @@
 //    0x63f680b04458c2a9 — at workers 1/2/4/8, cold or warm.
 //  * Warm start: a killed-and-restarted daemon primes from the store,
 //    serves round-1 bootstraps from cache, produces the same fault bytes,
-//    and re-saves a byte-identical store file.
+//    and re-saves a byte-identical store file. Priming is raw-only; the
+//    first resume decodes the cut once and publishes the decoded form,
+//    which every later resume shares without decoding.
 //  * Robustness: a corrupt store cold-starts with a typed error retained.
 //  * Knob swaps: invalid options are rejected with the stable
 //    "campaign.options.*" code and change nothing; valid swaps take effect
@@ -18,6 +20,7 @@
 #include <iterator>
 
 #include "bgp/bugs.hpp"
+#include "bgp/router.hpp"
 #include "bgp/topology.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
@@ -139,6 +142,54 @@ TEST(SoakServiceTest, WarmRestartReproducesFaultBytesAndStoreBytes) {
   EXPECT_EQ(slurp(cold_store), slurp(warm_store));
   std::remove(cold_store.c_str());
   std::remove(warm_store.c_str());
+}
+
+TEST(SoakServiceTest, WarmResumeDecodesOnceThenSharesThePublishedForm) {
+  const std::string store = temp_path("svc_soak_resume.dsvc");
+
+  // Cold reference: round 1 bootstraps and captures, round 2 resumes the
+  // capture's decoded form — so round 2's decodes are the episodes' alone.
+  std::uint64_t cold_hash = 0;
+  std::uint64_t episode_decodes = 0;
+  {
+    SoakService service(receipt_scenarios(), receipt_options(2, store));
+    cold_hash = service.run_round().fault_hash;
+    const std::uint64_t before = bgp::checkpoint_decode_count();
+    const RoundSummary second = service.run_round();
+    episode_decodes = bgp::checkpoint_decode_count() - before;
+    ASSERT_EQ(second.cells_from_cache, 1u);
+    ASSERT_EQ(second.fault_hash, cold_hash);
+  }
+  ASSERT_EQ(cold_hash, kReceiptHash);
+
+  SoakService revived(receipt_scenarios(), receipt_options(2, store));
+  auto entries = revived.live_cache().resolved_entries();
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].state->snapshot, nullptr);  // primed raw-only: no decode at boot
+  ASSERT_NE(entries[0].state->raw, nullptr);
+  const std::size_t nodes = entries[0].state->raw->nodes.size();
+
+  // Round 1 resumes the raw-only entry: one decode per node on top of the
+  // episodes', then the decoded form is published with `raw` kept.
+  std::uint64_t before = bgp::checkpoint_decode_count();
+  const RoundSummary first = revived.run_round();
+  EXPECT_EQ(bgp::checkpoint_decode_count() - before, episode_decodes + nodes);
+  EXPECT_EQ(first.cells_from_cache, 1u);
+  EXPECT_EQ(first.fault_hash, cold_hash);
+  entries = revived.live_cache().resolved_entries();
+  ASSERT_EQ(entries.size(), 1u);
+  ASSERT_NE(entries[0].state->snapshot, nullptr);
+  EXPECT_NE(entries[0].state->raw, nullptr);  // the harvest still persists it
+  const snapshot::PreparedSnapshot* published = entries[0].state->snapshot.get();
+
+  // Round 2 resumes the published form: zero decodes for the resume.
+  before = bgp::checkpoint_decode_count();
+  const RoundSummary second = revived.run_round();
+  EXPECT_EQ(bgp::checkpoint_decode_count() - before, episode_decodes);
+  EXPECT_EQ(second.cells_from_cache, 1u);
+  EXPECT_EQ(second.fault_hash, cold_hash);
+  EXPECT_EQ(revived.live_cache().resolved_entries()[0].state->snapshot.get(), published);
+  std::remove(store.c_str());
 }
 
 TEST(SoakServiceTest, CorruptStoreDegradesToTypedColdStart) {
