@@ -16,7 +16,9 @@
 //   2. warm restart latency — on the 500-router internet (where a cold
 //      bootstrap is a real convergence bill), restart-to-explored
 //      (store load + prime + round-1 bootstrap) must be >= 10x faster
-//      warm than cold, with cold and warm fault bytes identical.
+//      warm than cold, with cold and warm fault bytes identical, and the
+//      warm round's first episode snapshot must be all-delta against the
+//      resumed cut (the quiescent internet has nothing to re-encode).
 // Emits BENCH_soak_warmstart.json.
 #include <cstdio>
 #include <fstream>
@@ -26,6 +28,8 @@
 #include "bench_util.hpp"
 #include "bgp/bugs.hpp"
 #include "bgp/topology.hpp"
+#include "obs/metrics.hpp"
+#include "obs/names.hpp"
 #include "svc/soak_service.hpp"
 
 namespace {
@@ -156,7 +160,21 @@ int main() {
   svc::SoakService revived(scale_scenarios(), scale_options(store_path));
   const double warm_construct_ms = warm_construct.ms();
   const svc::SoakReport boot = revived.report();
+  const obs::MetricsSnapshot before_warm = obs::MetricsRegistry::global().snapshot();
+  Stopwatch warm_round_timer;
   const svc::RoundSummary warm = revived.run_round();
+  const double warm_round_ms = warm_round_timer.ms();
+  // Share of the warm round's snapshot checkpoints that rode the one-byte
+  // envelope: the resumed cut is the first delta baseline, so on a
+  // quiescent system every router must.
+  const obs::MetricsSnapshot warm_metrics =
+      obs::MetricsRegistry::global().snapshot().delta_since(before_warm);
+  const auto delta_nodes =
+      static_cast<double>(warm_metrics.counter_value(obs::names::kSnapshotDeltaNodes));
+  const auto full_nodes =
+      static_cast<double>(warm_metrics.counter_value(obs::names::kSnapshotBaselineNodes));
+  const double delta_ratio =
+      delta_nodes + full_nodes > 0 ? delta_nodes / (delta_nodes + full_nodes) : 0.0;
   const bool warm_ok = boot.warm_started && warm.cells_from_cache == 1;
   const bool scale_hash_ok = warm.fault_hash == cold_hash;
 
@@ -173,6 +191,8 @@ int main() {
              fmt(warm_restart_ms) + " ms"});
   table.row({"round-1 bootstraps from cache", "0",
              std::to_string(warm.cells_from_cache)});
+  table.row({"warm round (resume + explore)", "-", fmt(warm_round_ms) + " ms"});
+  table.row({"warm snapshot delta ratio", "-", fmt(delta_ratio, 3)});
   table.row({"round fault hash", hex64(cold_hash), hex64(warm.fault_hash)});
   table.print();
   std::printf("\nwarm restart speedup: %.1fx (gate: >= 10x), store %zu bytes\n",
@@ -186,6 +206,8 @@ int main() {
   json += ",\"warm_bootstrap_ms\":" + fmt(warm.bootstrap_ms, 3);
   json += ",\"warm_restart_ms\":" + fmt(warm_restart_ms, 3);
   json += ",\"speedup\":" + fmt(speedup, 1);
+  json += ",\"warm_round_ms\":" + fmt(warm_round_ms, 3);
+  json += ",\"warm_first_snapshot_delta_ratio\":" + fmt(delta_ratio, 3);
   json += ",\"scale_routers\":500";
   json += ",\"receipt_faults_per_round\":" + std::to_string(faults);
   json += ",\"store_bytes\":" + std::to_string(file_bytes(store_path));
@@ -207,6 +229,12 @@ int main() {
   }
   if (!warm_ok) {
     std::puts("FAIL: the restarted daemon did not warm-start from the store");
+    return 1;
+  }
+  if (delta_ratio < 1.0) {
+    std::printf("FAIL: the warm round re-encoded %.0f of %.0f checkpoints in full "
+                "(gate: all-delta against the resumed cut)\n",
+                full_nodes, delta_nodes + full_nodes);
     return 1;
   }
   if (speedup < 10.0) {

@@ -66,7 +66,11 @@ int main() {
     reused_total += episode.clones_reused;
     restore_total_ms += episode.restore_ms;
     clone_total_ms += episode.clone_ms;
-    table.row({std::to_string(episode.episode), "r" + std::to_string(episode.explorer),
+    // Appended rather than `"r" + std::to_string(...)`: GCC 12 misreads
+    // that inlined concatenation as an overlapping memcpy (-Wrestrict).
+    std::string explorer = "r";
+    explorer += std::to_string(episode.explorer);
+    table.row({std::to_string(episode.episode), explorer,
                std::to_string(episode.inputs_subjected), std::to_string(episode.clones_run),
                std::to_string(episode.clones_reused),
                fmt(static_cast<double>(episode.snapshot_bytes) / 1024.0, 1),

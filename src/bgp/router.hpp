@@ -115,6 +115,9 @@ class BgpRouter final : public NodeImplementation, public SessionHost {
   [[nodiscard]] std::uint64_t encode_checkpoint(util::ByteWriter& writer,
                                                 snapshot::SnapshotId this_snapshot,
                                                 snapshot::SnapshotId baseline) override;
+  void adopt_checkpoint(snapshot::SnapshotId id, std::uint64_t hash) override {
+    last_checkpoint_ = {id, state_version_, hash};
+  }
   /// Monotonic churn counter: bumps whenever checkpointed state (sessions,
   /// RIBs, flip counters) changes. Equal versions => byte-identical
   /// checkpoints. Exposed for tests and the snapshot-scale bench.

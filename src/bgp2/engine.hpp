@@ -86,6 +86,9 @@ class FsmEngine final : public bgp::NodeImplementation, public PeerFsm::Host {
   [[nodiscard]] std::uint64_t encode_checkpoint(util::ByteWriter& writer,
                                                 snapshot::SnapshotId this_snapshot,
                                                 snapshot::SnapshotId baseline) override;
+  void adopt_checkpoint(snapshot::SnapshotId id, std::uint64_t hash) override {
+    last_checkpoint_ = {id, state_version_, hash};
+  }
 
   // --- PeerFsm::Host --------------------------------------------------------
   void fsm_send(sim::NodeId peer, const bgp::Message& msg, bool background) override;

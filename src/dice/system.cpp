@@ -212,6 +212,16 @@ util::Result<std::shared_ptr<const snapshot::PreparedSnapshot>> System::resume_f
     prepared = std::move(built).take();
   }
   if (auto status = reset_from(*prepared, state.resume_at); !status) return status.error();
+  // The applied cut is this live system's first delta baseline: each
+  // router's state now IS its checkpoint in the cut, so the first episode
+  // snapshot sends unchanged routers as one-byte envelopes and prepare
+  // shares the decoded checkpoints instead of decoding them again. A router
+  // that moves after this bumps its state_version_ and encodes in full.
+  for (const auto& [node, entry] : prepared->nodes()) {
+    routers_[node]->adopt_checkpoint(prepared->id(), entry.hash);
+  }
+  store_.reserve_through(prepared->id());
+  delta_baseline_ = prepared;
   return prepared;
 }
 

@@ -135,7 +135,10 @@ class System {
   /// donor's bootstrap end. Valid on a freshly constructed (never started)
   /// System — the LiveStateCache fast path that replaces start()+converge.
   /// A raw-only state (primed from a store) is first decoded once, this
-  /// System's routers acting as resolver. Returns the decoded cut applied —
+  /// System's routers acting as resolver. The applied cut becomes the delta
+  /// baseline of the first take_snapshot (unchanged routers ride the
+  /// envelope, their decoded checkpoints are shared, never re-decoded), and
+  /// later snapshot ids run past its id. Returns the decoded cut applied —
   /// `state.snapshot`, or the fresh decode for the caller to publish.
   [[nodiscard]] util::Result<std::shared_ptr<const snapshot::PreparedSnapshot>> resume_from(
       const snapshot::PreparedLiveState& state);

@@ -67,6 +67,12 @@ class Checkpointable {
   [[nodiscard]] virtual std::uint64_t encode_checkpoint(util::ByteWriter& writer,
                                                         SnapshotId this_snapshot,
                                                         SnapshotId baseline);
+
+  /// Declares that this node's current state IS its checkpoint `hash` in
+  /// snapshot `id` (a resumed live system adopting the cut it just applied),
+  /// so an encode against baseline `id` may write the delta envelope until
+  /// the state next changes. The default ignores it (encodes stay full).
+  virtual void adopt_checkpoint(SnapshotId /*id*/, std::uint64_t /*hash*/) {}
 };
 
 /// A captured node checkpoint.

@@ -60,6 +60,14 @@ class SnapshotStore {
   [[nodiscard]] SnapshotId next_id() noexcept {
     return next_id_.fetch_add(1, std::memory_order_relaxed);
   }
+  /// Advances the id counter past `id` (no-op when already past it), so
+  /// later ids never collide with a cut adopted from another store.
+  void reserve_through(SnapshotId id) noexcept {
+    SnapshotId next = next_id_.load(std::memory_order_relaxed);
+    while (next <= id &&
+           !next_id_.compare_exchange_weak(next, id + 1, std::memory_order_relaxed)) {
+    }
+  }
 
   void put(Snapshot snapshot);
   [[nodiscard]] const Snapshot* find(SnapshotId id) const;

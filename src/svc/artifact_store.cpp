@@ -45,17 +45,18 @@ void encode_artifact(util::ByteWriter& writer, const LiveStateArtifact& artifact
   if (artifact.oscillation_exit) flags |= kFlagOscillationExit;
   writer.u8(flags);
   writer.u64(artifact.cut_hash);
-  writer.vu64(artifact.snap.id);
-  writer.vu64(artifact.snap.taken_at);
-  writer.vu64(artifact.snap.nodes.size());
-  for (const auto& [node, checkpoint] : artifact.snap.nodes) {
+  const snapshot::Snapshot& snap = *artifact.snap;
+  writer.vu64(snap.id);
+  writer.vu64(snap.taken_at);
+  writer.vu64(snap.nodes.size());
+  for (const auto& [node, checkpoint] : snap.nodes) {
     writer.vu32(node);
     writer.u64(checkpoint.hash);
     writer.vu64(checkpoint.state.size());
     writer.raw(checkpoint.state);
   }
-  writer.vu64(artifact.snap.channels.size());
-  for (const auto& [channel, frames] : artifact.snap.channels) {
+  writer.vu64(snap.channels.size());
+  for (const auto& [channel, frames] : snap.channels) {
     writer.vu32(channel.from);
     writer.vu32(channel.to);
     writer.vu64(frames.size());
@@ -99,13 +100,14 @@ void encode_artifact(util::ByteWriter& writer, const LiveStateArtifact& artifact
   auto cut_hash = reader.u64();
   if (!cut_hash) return cut_hash.error();
   artifact.cut_hash = cut_hash.value();
+  snapshot::Snapshot snap;
   auto id = reader.vu64();
   if (!id) return id.error();
-  artifact.snap.id = id.value();
-  artifact.snap.baseline_id = 0;  // standalone by construction (encode refuses deltas)
+  snap.id = id.value();
+  snap.baseline_id = 0;  // standalone by construction (encode refuses deltas)
   auto taken_at = reader.vu64();
   if (!taken_at) return taken_at.error();
-  artifact.snap.taken_at = taken_at.value();
+  snap.taken_at = taken_at.value();
   auto node_count = reader.vu64();
   if (!node_count) return node_count.error();
   for (std::uint64_t i = 0; i < node_count.value(); ++i) {
@@ -121,7 +123,7 @@ void encode_artifact(util::ByteWriter& writer, const LiveStateArtifact& artifact
     auto state = reader.raw(state_len.value());
     if (!state) return state.error();
     checkpoint.state.assign(state.value().begin(), state.value().end());
-    artifact.snap.nodes.emplace(node.value(), std::move(checkpoint));
+    snap.nodes.emplace(node.value(), std::move(checkpoint));
   }
   auto channel_count = reader.vu64();
   if (!channel_count) return channel_count.error();
@@ -141,16 +143,17 @@ void encode_artifact(util::ByteWriter& writer, const LiveStateArtifact& artifact
       if (!frame) return frame.error();
       frames.emplace_back(frame.value().begin(), frame.value().end());
     }
-    artifact.snap.channels.emplace(
-        snapshot::ChannelKey{from.value(), to.value()}, std::move(frames));
+    snap.channels.emplace(snapshot::ChannelKey{from.value(), to.value()},
+                          std::move(frames));
   }
   // The checksum guards the bytes; this guards the semantics — a payload
   // regenerated inconsistently (right envelope, wrong snapshot) must fail
   // typed rather than resume a wrong live state.
-  if (artifact.snap.cut_hash() != artifact.cut_hash) {
+  if (snap.cut_hash() != artifact.cut_hash) {
     return util::make_error("svc.store.hash_mismatch",
                             "snapshot cut hash does not match the recorded one");
   }
+  artifact.snap = std::make_shared<const snapshot::Snapshot>(std::move(snap));
   return artifact;
 }
 
@@ -158,11 +161,14 @@ void encode_artifact(util::ByteWriter& writer, const LiveStateArtifact& artifact
 
 util::Result<util::Bytes> ArtifactStore::encode(const StoreContents& contents) {
   for (const LiveStateArtifact& artifact : contents.live_states) {
-    if (artifact.snap.baseline_id != 0) {
+    if (artifact.snap == nullptr) {
+      return util::make_error("svc.store.malformed", "artifact without a cut");
+    }
+    if (artifact.snap->baseline_id != 0) {
       return util::make_error("svc.store.delta_snapshot",
                               "only standalone snapshots are persistable");
     }
-    for (const auto& [node, checkpoint] : artifact.snap.nodes) {
+    for (const auto& [node, checkpoint] : artifact.snap->nodes) {
       if (!checkpoint.state.empty() &&
           checkpoint.state.front() == snapshot::kCheckpointSameAsBaseline) {
         return util::make_error("svc.store.delta_snapshot",

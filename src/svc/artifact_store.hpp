@@ -26,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -60,11 +61,14 @@ struct LiveStateArtifact {
   std::uint64_t bootstrap_executed = 0;
   bool quiesced = false;
   bool oscillation_exit = false;
-  /// snap.cut_hash() at save time; re-verified on decode so a store whose
+  /// snap->cut_hash() at save time; re-verified on decode so a store whose
   /// payload was regenerated inconsistently fails typed, never resumes a
   /// wrong state.
   std::uint64_t cut_hash = 0;
-  snapshot::Snapshot snap;  ///< raw standalone cut (baseline_id must be 0)
+  /// Raw standalone cut (baseline_id must be 0, never null). Shared, never
+  /// copied: load builds it once, the cache prime and the round harvest
+  /// hand the same object on (PreparedLiveState::raw).
+  std::shared_ptr<const snapshot::Snapshot> snap;
 };
 
 /// Everything one store file holds. `live_states` is kept sorted by key and
@@ -92,7 +96,8 @@ class ArtifactStore {
   /// bytes). Refuses artifacts that are not sound to persist: a snapshot
   /// with `baseline_id != 0` or a node checkpoint riding the delta envelope
   /// ("svc.store.delta_snapshot") — a standalone capture never has either,
-  /// and a delta cut re-decoded without its baseline would be garbage.
+  /// and a delta cut re-decoded without its baseline would be garbage. An
+  /// artifact without a cut (`snap` null) is "svc.store.malformed".
   [[nodiscard]] static util::Result<util::Bytes> encode(const StoreContents& contents);
 
   /// Strict decode: bad magic ("svc.store.bad_magic"), unknown version

@@ -248,7 +248,7 @@ std::size_t SoakService::prime_cache_locked() {
     const std::size_t proto = prototype_index(matrix, artifact.key);
     if (proto == kNoPrototype) continue;  // options no longer produce this key
     auto state = std::make_shared<snapshot::PreparedLiveState>();
-    state->raw = std::make_shared<const snapshot::Snapshot>(artifact.snap);
+    state->raw = artifact.snap;
     state->resume_at = artifact.resume_at;
     state->bootstrap_executed = artifact.bootstrap_executed;
     state->quiesced = artifact.quiesced;
@@ -299,8 +299,8 @@ void SoakService::harvest_locked(const explore::MatrixResult& result) {
     artifact.bootstrap_executed = entry.state->bootstrap_executed;
     artifact.quiesced = entry.state->quiesced;
     artifact.oscillation_exit = entry.state->oscillation_exit;
-    artifact.snap = *entry.state->raw;
-    artifact.cut_hash = artifact.snap.cut_hash();
+    artifact.snap = entry.state->raw;
+    artifact.cut_hash = artifact.snap->cut_hash();
     const auto it = std::lower_bound(
         contents_.live_states.begin(), contents_.live_states.end(), artifact.key,
         [](const LiveStateArtifact& a, const WarmKey& k) { return a.key < k; });

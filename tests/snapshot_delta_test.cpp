@@ -6,11 +6,15 @@
 // byte-identical on the full and delta paths at workers 1, 2, 4 and 8;
 // (4) a delta stream against a missing or wrong baseline fails with the
 // stable codes, never a silent wrong restore; (5) legacy fixed-width
-// streams (pre-v2 captures) still parse.
+// streams (pre-v2 captures) still parse; (6) a resumed live system adopts
+// the cut it applied as its first delta baseline, exactly, on both engines.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "bgp/codec.hpp"
+#include "bgp2/engine.hpp"
 #include "dice/orchestrator.hpp"
 #include "dice/system.hpp"
 #include "util/hash.hpp"
@@ -212,6 +216,113 @@ TEST(SnapshotDeltaTest, LegacyFixedWidthStreamStillParses) {
     EXPECT_EQ(delta_nodes, 0u) << "delta engaged while disabled";
   }
   return fault_hash(dice.all_faults());
+}
+
+/// The churn counter behind the delta decision, whichever engine runs `node`.
+[[nodiscard]] std::uint64_t state_version(System& system, sim::NodeId node) {
+  if (const auto* fsm = dynamic_cast<const bgp2::FsmEngine*>(&system.router(node))) {
+    return fsm->state_version();
+  }
+  return system.bgp_router(node).state_version();
+}
+
+/// A converged 27-router internet running `implementation` everywhere,
+/// captured as the bootstrap a live-state cache would publish.
+[[nodiscard]] std::shared_ptr<PreparedLiveState> capture_internet(
+    const std::string& implementation) {
+  bgp::SystemBlueprint blueprint = make_internet();
+  blueprint.set_all_implementations(implementation);
+  System donor(std::move(blueprint));
+  donor.start();
+  EXPECT_TRUE(donor.converge());
+  return donor.capture_live_state();
+}
+
+TEST(SnapshotDeltaTest, ResumedCutIsTheFirstDeltaBaselineOnBothEngines) {
+  for (const std::string implementation : {"bgp", "fsm"}) {
+    SCOPED_TRACE(implementation);
+    const auto state = capture_internet(implementation);
+    ASSERT_NE(state, nullptr);
+    // Resume the raw form, as a restarted daemon's primed entry does.
+    PreparedLiveState raw_only;
+    raw_only.raw = state->raw;
+    raw_only.resume_at = state->resume_at;
+    bgp::SystemBlueprint blueprint = make_internet();
+    blueprint.set_all_implementations(implementation);
+    System live(std::move(blueprint));
+    live.set_delta_checkpoints(true);
+    auto resumed = live.resume_from(raw_only);
+    ASSERT_TRUE(resumed.ok());
+    const std::shared_ptr<const PreparedSnapshot> cut = resumed.value();
+
+    // Adoption is exact: each router's full-encode hash IS its cut hash.
+    for (const auto& [node, entry] : cut->nodes()) {
+      EXPECT_EQ(live.router(node).state_hash(), entry.hash) << "node " << node;
+    }
+
+    const SnapshotId first = live.take_snapshot(0);
+    ASSERT_NE(first, 0u);
+    EXPECT_GT(first, cut->id());
+    const Snapshot* raw = live.snapshots().find(first);
+    ASSERT_NE(raw, nullptr);
+    EXPECT_EQ(raw->baseline_id, cut->id());
+    for (const auto& [node, checkpoint] : raw->nodes) {
+      EXPECT_TRUE(is_delta(checkpoint)) << "node " << node << " re-encoded in full";
+    }
+    EXPECT_EQ(raw->cut_hash(), cut->cut_hash());
+    const auto prepared = live.prepare_snapshot(first);
+    ASSERT_NE(prepared, nullptr);
+    ASSERT_EQ(prepared->nodes().size(), cut->nodes().size());
+    for (const auto& [node, entry] : prepared->nodes()) {
+      EXPECT_EQ(entry.state.get(), cut->nodes().at(node).state.get()) << "node " << node;
+    }
+  }
+}
+
+TEST(SnapshotDeltaTest, RoutersThatMoveAfterAResumeEncodeInFull) {
+  for (const std::string implementation : {"bgp", "fsm"}) {
+    SCOPED_TRACE(implementation);
+    const auto state = capture_internet(implementation);
+    ASSERT_NE(state, nullptr);
+    bgp::SystemBlueprint blueprint = make_internet();
+    blueprint.set_all_implementations(implementation);
+    System live(std::move(blueprint));
+    live.set_delta_checkpoints(true);
+    ASSERT_TRUE(live.resume_from(*state).ok());
+    std::vector<std::uint64_t> versions;
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      versions.push_back(state_version(live, static_cast<sim::NodeId>(i)));
+    }
+
+    // A new prefix announced to the last stub by its first neighbor.
+    const sim::NodeId target = static_cast<sim::NodeId>(live.size() - 1);
+    const sim::NodeId from = live.network().neighbors(target).front();
+    bgp::UpdateMessage update;
+    update.attrs.origin = bgp::Origin::kIgp;
+    update.attrs.as_path = bgp::AsPath{{bgp::node_asn(from)}};
+    update.attrs.next_hop = bgp::node_address(from);
+    update.nlri.push_back(util::IpPrefix{util::IpAddress{10, 200, 0, 0}, 16});
+    live.inject_message(from, target, bgp::encode(bgp::Message{update}).value());
+    ASSERT_TRUE(live.converge());
+
+    const SnapshotId first = live.take_snapshot(0);
+    ASSERT_NE(first, 0u);
+    const Snapshot* raw = live.snapshots().find(first);
+    ASSERT_NE(raw, nullptr);
+    std::size_t full = 0;
+    std::size_t delta = 0;
+    for (const auto& [node, checkpoint] : raw->nodes) {
+      const bool moved = state_version(live, node) != versions[node];
+      EXPECT_EQ(is_delta(checkpoint), !moved) << "node " << node;
+      EXPECT_EQ(checkpoint.hash, live.router(node).state_hash()) << "node " << node;
+      ++(is_delta(checkpoint) ? delta : full);
+    }
+    EXPECT_FALSE(is_delta(raw->nodes.at(target)));
+    EXPECT_GE(full, 1u);
+    EXPECT_GE(delta, 1u);
+    // The mixed cut resolves: moved routers decode, the rest share the cut.
+    EXPECT_NE(live.prepare_snapshot(first), nullptr);
+  }
 }
 
 TEST(SnapshotDeltaTest, Topology27FaultHashByteIdenticalFullVsDelta) {

@@ -41,8 +41,8 @@ namespace {
   artifact.bootstrap_executed = 4'242;
   artifact.quiesced = true;
   artifact.oscillation_exit = false;
-  artifact.snap = make_snapshot(seed);
-  artifact.cut_hash = artifact.snap.cut_hash();
+  artifact.snap = std::make_shared<const snapshot::Snapshot>(make_snapshot(seed));
+  artifact.cut_hash = artifact.snap->cut_hash();
   return artifact;
 }
 
@@ -74,9 +74,10 @@ TEST(ArtifactStoreTest, RoundtripPreservesEverything) {
   EXPECT_EQ(artifact.bootstrap_executed, 4'242u);
   EXPECT_TRUE(artifact.quiesced);
   EXPECT_FALSE(artifact.oscillation_exit);
-  EXPECT_EQ(artifact.snap.nodes.size(), 3u);
-  EXPECT_EQ(artifact.snap.channels.size(), 1u);
-  EXPECT_EQ(artifact.snap.cut_hash(), artifact.cut_hash);
+  ASSERT_NE(artifact.snap, nullptr);
+  EXPECT_EQ(artifact.snap->nodes.size(), 3u);
+  EXPECT_EQ(artifact.snap->channels.size(), 1u);
+  EXPECT_EQ(artifact.snap->cut_hash(), artifact.cut_hash);
   EXPECT_EQ(back.unsat_keys, (std::vector<std::uint64_t>{3, 7, 11}));
 }
 
@@ -95,17 +96,29 @@ TEST(ArtifactStoreTest, EqualContentsEncodeToEqualBytes) {
 
 TEST(ArtifactStoreTest, RefusesDeltaSnapshots) {
   StoreContents contents = make_contents();
-  contents.live_states[0].snap.baseline_id = 99;
+  snapshot::Snapshot delta = *contents.live_states[0].snap;
+  delta.baseline_id = 99;
+  contents.live_states[0].snap = std::make_shared<const snapshot::Snapshot>(std::move(delta));
   auto encoded = ArtifactStore::encode(contents);
   ASSERT_FALSE(encoded.ok());
   EXPECT_EQ(encoded.error().code, "svc.store.delta_snapshot");
 
   StoreContents enveloped = make_contents();
-  enveloped.live_states[0].snap.nodes.at(0).state.front() =
-      snapshot::kCheckpointSameAsBaseline;
+  snapshot::Snapshot envelope = *enveloped.live_states[0].snap;
+  envelope.nodes.at(0).state.front() = snapshot::kCheckpointSameAsBaseline;
+  enveloped.live_states[0].snap =
+      std::make_shared<const snapshot::Snapshot>(std::move(envelope));
   auto encoded2 = ArtifactStore::encode(enveloped);
   ASSERT_FALSE(encoded2.ok());
   EXPECT_EQ(encoded2.error().code, "svc.store.delta_snapshot");
+}
+
+TEST(ArtifactStoreTest, RefusesAnArtifactWithoutACut) {
+  StoreContents contents = make_contents();
+  contents.live_states[1].snap = nullptr;
+  auto encoded = ArtifactStore::encode(contents);
+  ASSERT_FALSE(encoded.ok());
+  EXPECT_EQ(encoded.error().code, "svc.store.malformed");
 }
 
 TEST(ArtifactStoreTest, EveryTruncatedPrefixFailsTyped) {
