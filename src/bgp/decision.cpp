@@ -76,11 +76,12 @@ Comparison compare_routes(const Route& a, const Route& b, const DecisionOptions&
   return Comparison{0, DecisionRule::kEqual};
 }
 
-std::size_t select_best(const std::vector<Route>& candidates, const DecisionOptions& options) {
+std::size_t select_best(const std::vector<const Route*>& candidates,
+                        const DecisionOptions& options) {
   if (candidates.empty()) return SIZE_MAX;
   std::size_t best = 0;
   for (std::size_t i = 1; i < candidates.size(); ++i) {
-    if (compare_routes(candidates[i], candidates[best], options).order < 0) {
+    if (compare_routes(*candidates[i], *candidates[best], options).order < 0) {
       best = i;
     }
   }

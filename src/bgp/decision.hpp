@@ -41,8 +41,12 @@ struct Comparison {
 [[nodiscard]] Comparison compare_routes(const Route& a, const Route& b,
                                         const DecisionOptions& options = {});
 
-/// Returns the index of the best route, or SIZE_MAX for an empty set.
-[[nodiscard]] std::size_t select_best(const std::vector<Route>& candidates,
+/// Returns the index of the best candidate, or SIZE_MAX for an empty set.
+/// Candidates are read where they sit (RIB tables, a stack-built local
+/// route); among equal candidates the first one wins, so the result
+/// depends on candidate order and the differential replay fixes that order
+/// (NodeImplementation::for_each_decision).
+[[nodiscard]] std::size_t select_best(const std::vector<const Route*>& candidates,
                                       const DecisionOptions& options = {});
 
 }  // namespace dice::bgp

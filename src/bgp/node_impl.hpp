@@ -73,12 +73,13 @@ class NodeImplementation : public snapshot::SnapshotParticipant,
 
   /// One decision-process outcome: the prefix, what the node selected
   /// (nullptr = nothing selected), and the candidate set it chose from.
-  /// Candidates carry the full Route (post import policy) so the checker
-  /// can rerun the reference decision procedure on them.
+  /// Candidates point at the full Routes (post import policy) where they
+  /// sit, so the checker reruns the reference decision procedure on them
+  /// without copying any.
   struct DecisionView {
     util::IpPrefix prefix;
     const Route* selected = nullptr;
-    const std::vector<Route>* candidates = nullptr;
+    const std::vector<const Route*>* candidates = nullptr;
   };
 
   /// Stable registry id ("bgp", "fsm", ...). Greppable constants live next
@@ -114,14 +115,38 @@ class NodeImplementation : public snapshot::SnapshotParticipant,
   }
 
   /// Invokes `fn` once per prefix the node holds an opinion about (locally
-  /// originated, learned, or selected), in ascending prefix order. The
-  /// DecisionView pointers are valid only for the duration of the call.
+  /// originated, learned, or selected): prefixes in ascending order, each
+  /// once. The candidates are the locally originated route (if the prefix
+  /// is a configured network), then the Adj-RIB-In entries in ascending
+  /// peer order, which is the order the decision process saw them in. A
+  /// prefix only in the Loc-RIB has no candidates and a non-null selection.
+  /// The DecisionView pointers are valid only for the duration of the call.
   virtual void for_each_decision(
       const std::function<void(const DecisionView&)>& fn) const = 0;
 
  protected:
   [[nodiscard]] snapshot::Checkpointable& checkpointable() override { return *this; }
 };
+
+/// The route a router originates for `prefix`, one of its configured
+/// networks: origin IGP, next hop and source the router itself.
+[[nodiscard]] Route local_route(const RouterConfig& config, const util::IpPrefix& prefix);
+
+/// The candidate set of one decision, in the order for_each_decision
+/// reports it: `local` if its prefix is a configured network, then each
+/// Adj-RIB-In entry for that prefix in ascending peer order. The pointers
+/// are valid while `local` lives and the tables are not written.
+[[nodiscard]] std::vector<const Route*> collect_candidates(
+    const RouterConfig& config, const std::map<sim::NodeId, Rib>& adj_in, const Route& local);
+
+/// for_each_decision for an engine holding the usual RIBs: one ordered walk
+/// with a cursor per Adj-RIB-In table, one over the sorted configured
+/// networks and one over the Loc-RIB. The smallest prefix under any cursor
+/// is the next decision and its candidates are the cursors sitting on it,
+/// so no prefix is looked up and no route is copied.
+void walk_decisions(const RouterConfig& config, const std::map<sim::NodeId, Rib>& adj_in,
+                    const Rib& loc_rib,
+                    const std::function<void(const NodeImplementation::DecisionView&)>& fn);
 
 /// Process-wide factory table, keyed by implementation id. Blueprints name
 /// implementations by id; dice::System resolves them here at construction.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <set>
 #include <span>
 
 #include "bgp/checkpoint_codec.hpp"
@@ -235,28 +234,6 @@ void BgpRouter::process_update(sim::NodeId peer, const UpdateMessage& update) {
   }
 }
 
-std::vector<Route> BgpRouter::collect_candidates(const util::IpPrefix& prefix) const {
-  std::vector<Route> candidates;
-  // Locally originated network?
-  if (std::find(config_.networks.begin(), config_.networks.end(), prefix) !=
-      config_.networks.end()) {
-    Route local;
-    local.prefix = prefix;
-    local.attrs.origin = Origin::kIgp;
-    local.attrs.next_hop = config_.address;
-    local.source.peer_node = kLocalRoute;
-    local.source.peer_asn = config_.asn;
-    local.source.peer_router_id = config_.router_id;
-    local.source.peer_address = config_.address;
-    local.source.ebgp = false;
-    candidates.push_back(std::move(local));
-  }
-  for (const auto& [peer, rib] : adj_in_) {
-    if (const Route* route = rib.find(prefix)) candidates.push_back(*route);
-  }
-  return candidates;
-}
-
 std::size_t BgpRouter::established_session_count() const {
   std::size_t established = 0;
   for (const auto& [peer, session] : sessions_) {
@@ -267,27 +244,14 @@ std::size_t BgpRouter::established_session_count() const {
 
 void BgpRouter::for_each_decision(
     const std::function<void(const DecisionView&)>& fn) const {
-  std::set<util::IpPrefix> prefixes;
-  for (const util::IpPrefix& prefix : config_.networks) prefixes.insert(prefix);
-  for (const auto& [peer, rib] : adj_in_) {
-    for (const auto& [prefix, route] : rib.table()) prefixes.insert(prefix);
-  }
-  for (const auto& [prefix, route] : loc_rib_.table()) prefixes.insert(prefix);
-
-  for (const util::IpPrefix& prefix : prefixes) {
-    const std::vector<Route> candidates = collect_candidates(prefix);
-    DecisionView view;
-    view.prefix = prefix;
-    view.selected = loc_rib_.find(prefix);
-    view.candidates = &candidates;
-    fn(view);
-  }
+  walk_decisions(config_, adj_in_, loc_rib_, fn);
 }
 
 void BgpRouter::run_decision(const util::IpPrefix& prefix) {
   ++stats_.decision_runs;
 
-  std::vector<Route> candidates = collect_candidates(prefix);
+  const Route local = local_route(config_, prefix);
+  const std::vector<const Route*> candidates = collect_candidates(config_, adj_in_, local);
 
   DecisionOptions options;
   options.always_compare_med = config_.always_compare_med;
@@ -302,8 +266,8 @@ void BgpRouter::run_decision(const util::IpPrefix& prefix) {
     }
     return;
   }
-  if (current != nullptr && *current == candidates[best]) return;
-  loc_rib_.upsert(candidates[best]);
+  if (current != nullptr && *current == *candidates[best]) return;
+  loc_rib_.upsert(*candidates[best]);
   ++stats_.best_changes;
   max_best_flips_ = std::max(max_best_flips_, ++best_flips_[prefix]);
   propagate(prefix);

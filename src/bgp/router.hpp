@@ -150,11 +150,6 @@ class BgpRouter final : public NodeImplementation, public SessionHost {
   parse_legacy(util::ByteReader& reader) const;
   void originate_networks();
   void process_update(sim::NodeId peer, const UpdateMessage& update);
-  /// The decision process's candidate set for `prefix`: the locally
-  /// originated route (if configured) plus every Adj-RIB-In entry. Shared
-  /// by run_decision() and for_each_decision() so the differential checker
-  /// replays exactly what the decision saw.
-  [[nodiscard]] std::vector<Route> collect_candidates(const util::IpPrefix& prefix) const;
   /// Re-runs the decision process for `prefix`; propagates on change.
   void run_decision(const util::IpPrefix& prefix);
   void propagate(const util::IpPrefix& prefix);

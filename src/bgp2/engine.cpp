@@ -1,7 +1,6 @@
 #include "bgp2/engine.hpp"
 
 #include <algorithm>
-#include <set>
 #include <span>
 
 #include "concolic/context.hpp"
@@ -231,28 +230,7 @@ void FsmEngine::import_update(sim::NodeId peer, const bgp::UpdateMessage& update
   }
 }
 
-std::vector<bgp::Route> FsmEngine::collect_candidates(const util::IpPrefix& prefix) const {
-  std::vector<bgp::Route> candidates;
-  if (std::find(config_.networks.begin(), config_.networks.end(), prefix) !=
-      config_.networks.end()) {
-    bgp::Route local;
-    local.prefix = prefix;
-    local.attrs.origin = bgp::Origin::kIgp;
-    local.attrs.next_hop = config_.address;
-    local.source.peer_node = bgp::kLocalRoute;
-    local.source.peer_asn = config_.asn;
-    local.source.peer_router_id = config_.router_id;
-    local.source.peer_address = config_.address;
-    local.source.ebgp = false;
-    candidates.push_back(std::move(local));
-  }
-  for (const auto& [peer, rib] : adj_in_) {
-    if (const bgp::Route* route = rib.find(prefix)) candidates.push_back(*route);
-  }
-  return candidates;
-}
-
-std::size_t FsmEngine::choose_best(const std::vector<bgp::Route>& candidates) const {
+std::size_t FsmEngine::choose_best(const std::vector<const bgp::Route*>& candidates) const {
   bgp::DecisionOptions options;
   options.always_compare_med = config_.always_compare_med;
   const std::size_t best = bgp::select_best(candidates, options);
@@ -263,12 +241,12 @@ std::size_t FsmEngine::choose_best(const std::vector<bgp::Route>& candidates) co
   // preference with the winner, an inverted length comparison prefers the
   // *longest* AS path. The reference procedure never does this, so the
   // differential check flags every prefix where the inversion bites.
-  const std::uint32_t pref = candidates[best].attrs.effective_local_pref();
+  const std::uint32_t pref = candidates[best]->attrs.effective_local_pref();
   std::size_t faulty = best;
   for (std::size_t i = 0; i < candidates.size(); ++i) {
-    if (candidates[i].attrs.effective_local_pref() != pref) continue;
-    if (candidates[i].attrs.as_path.selection_length() >
-        candidates[faulty].attrs.as_path.selection_length()) {
+    if (candidates[i]->attrs.effective_local_pref() != pref) continue;
+    if (candidates[i]->attrs.as_path.selection_length() >
+        candidates[faulty]->attrs.as_path.selection_length()) {
       faulty = i;
     }
   }
@@ -277,7 +255,9 @@ std::size_t FsmEngine::choose_best(const std::vector<bgp::Route>& candidates) co
 
 void FsmEngine::decide(const util::IpPrefix& prefix) {
   ++stats_.decision_runs;
-  const std::vector<bgp::Route> candidates = collect_candidates(prefix);
+  const bgp::Route local = bgp::local_route(config_, prefix);
+  const std::vector<const bgp::Route*> candidates =
+      bgp::collect_candidates(config_, adj_in_, local);
   const std::size_t best = choose_best(candidates);
 
   const bgp::Route* current = loc_rib_.find(prefix);
@@ -289,8 +269,8 @@ void FsmEngine::decide(const util::IpPrefix& prefix) {
     }
     return;
   }
-  if (current != nullptr && *current == candidates[best]) return;
-  loc_rib_.upsert(candidates[best]);
+  if (current != nullptr && *current == *candidates[best]) return;
+  loc_rib_.upsert(*candidates[best]);
   ++stats_.best_changes;
   max_best_flips_ = std::max(max_best_flips_, ++best_flips_[prefix]);
   propagate(prefix);
@@ -371,21 +351,7 @@ void FsmEngine::export_to_peer(PeerFsm& fsm, const util::IpPrefix& prefix) {
 
 void FsmEngine::for_each_decision(
     const std::function<void(const DecisionView&)>& fn) const {
-  std::set<util::IpPrefix> prefixes;
-  for (const util::IpPrefix& prefix : config_.networks) prefixes.insert(prefix);
-  for (const auto& [peer, rib] : adj_in_) {
-    for (const auto& [prefix, route] : rib.table()) prefixes.insert(prefix);
-  }
-  for (const auto& [prefix, route] : loc_rib_.table()) prefixes.insert(prefix);
-
-  for (const util::IpPrefix& prefix : prefixes) {
-    const std::vector<bgp::Route> candidates = collect_candidates(prefix);
-    DecisionView view;
-    view.prefix = prefix;
-    view.selected = loc_rib_.find(prefix);
-    view.candidates = &candidates;
-    fn(view);
-  }
+  bgp::walk_decisions(config_, adj_in_, loc_rib_, fn);
 }
 
 // ---------------------------------------------------------------------------

@@ -106,11 +106,10 @@ class FsmEngine final : public bgp::NodeImplementation, public PeerFsm::Host {
 
  private:
   void import_update(sim::NodeId peer, const bgp::UpdateMessage& update);
-  [[nodiscard]] std::vector<bgp::Route> collect_candidates(
-      const util::IpPrefix& prefix) const;
   /// The decision step the bus drain runs per dirty prefix. Selection is
   /// the reference procedure unless bugs::kLongPathPreferred is set.
-  [[nodiscard]] std::size_t choose_best(const std::vector<bgp::Route>& candidates) const;
+  [[nodiscard]] std::size_t choose_best(
+      const std::vector<const bgp::Route*>& candidates) const;
   void decide(const util::IpPrefix& prefix);
   void propagate(const util::IpPrefix& prefix);
   void export_to_peer(PeerFsm& fsm, const util::IpPrefix& prefix);

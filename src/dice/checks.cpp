@@ -135,7 +135,7 @@ CheckVerdict DifferentialCheck::run(const bgp::NodeImplementation& router) const
   router.for_each_decision([&](const bgp::NodeImplementation::DecisionView& view) {
     ++decisions;
     const std::size_t best = bgp::select_best(*view.candidates, options);
-    const bgp::Route* expected = best == SIZE_MAX ? nullptr : &(*view.candidates)[best];
+    const bgp::Route* expected = best == SIZE_MAX ? nullptr : (*view.candidates)[best];
     const bool match =
         expected == nullptr ? view.selected == nullptr
                             : view.selected != nullptr && *view.selected == *expected;

@@ -132,13 +132,26 @@ TEST(DecisionTest, IdenticalRoutesCompareEqual) {
 }
 
 TEST(DecisionTest, SelectBestPicksMinimum) {
-  std::vector<Route> candidates{
+  const std::vector<Route> routes{
       learned_route(100, {65001, 65002}),
       learned_route(200, {65001, 65002, 65003}),  // highest local-pref
       learned_route(100, {65001}),
   };
-  EXPECT_EQ(select_best(candidates), 1u);
+  EXPECT_EQ(select_best({&routes[0], &routes[1], &routes[2]}), 1u);
   EXPECT_EQ(select_best({}), SIZE_MAX);
+}
+
+TEST(DecisionTest, SelectBestKeepsTheFirstOfEqualCandidates) {
+  // The differential replay relies on candidate order: among candidates
+  // that compare equal, the earliest one is the selection.
+  const Route worse = learned_route(100, {65001, 65002});
+  const Route best = learned_route(100, {65001});
+  const Route same = best;
+  ASSERT_EQ(compare_routes(best, same).order, 0);
+  EXPECT_EQ(select_best({&best, &same}), 0u);
+  EXPECT_EQ(select_best({&worse, &same, &best}), 1u);
+  EXPECT_EQ(select_best({&worse, &best, &same, &best}), 1u);
+  EXPECT_EQ(select_best({&worse}), 0u);
 }
 
 /// Property: with always-compare-med the preference relation is a strict

@@ -1,14 +1,20 @@
 // The NodeImplementation boundary: registry resolution, blueprint
-// implementation selection, the System-level interface surface, and the
-// normalized RibDigest two conforming engines must agree on.
+// implementation selection, the System-level interface surface, the
+// normalized RibDigest two conforming engines must agree on, and the
+// for_each_decision replay contract the differential check stands on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
+#include <set>
 #include <stdexcept>
 
+#include "bgp/decision.hpp"
+#include "bgp/router.hpp"
 #include "bgp2/engine.hpp"
+#include "dice/checks.hpp"
 #include "dice/system.hpp"
 
 namespace dice::core {
@@ -107,6 +113,164 @@ TEST(RibDigestTest, ConformingEnginesConvergeToEqualDigests) {
     EXPECT_EQ(got, want) << "node " << node;
   }
 }
+
+/// One replayed decision, by value.
+struct Decision {
+  util::IpPrefix prefix;
+  std::vector<bgp::Route> candidates;
+  std::optional<bgp::Route> selected;
+  std::size_t best = SIZE_MAX;
+
+  bool operator==(const Decision&) const = default;
+};
+
+[[nodiscard]] const bgp::Rib* adj_rib_in(const bgp::NodeImplementation& node,
+                                         sim::NodeId peer) {
+  if (const auto* router = dynamic_cast<const bgp::BgpRouter*>(&node)) {
+    return router->adj_rib_in(peer);
+  }
+  return dynamic_cast<const bgp2::FsmEngine&>(node).adj_rib_in(peer);
+}
+
+[[nodiscard]] std::size_t select(const std::vector<bgp::Route>& candidates,
+                                 const bgp::RouterConfig& config) {
+  std::vector<const bgp::Route*> pointers;
+  for (const bgp::Route& route : candidates) pointers.push_back(&route);
+  bgp::DecisionOptions options;
+  options.always_compare_med = config.always_compare_med;
+  return bgp::select_best(pointers, options);
+}
+
+/// The replay as it was written before candidates became pointers: a set
+/// of every prefix, then per prefix the local route plus one lookup per
+/// peer in ascending peer order, each copied.
+[[nodiscard]] std::vector<Decision> reference_decisions(const bgp::NodeImplementation& node,
+                                                       std::size_t nodes) {
+  const bgp::RouterConfig& config = node.config();
+  std::map<sim::NodeId, const bgp::Rib*> adj_in;
+  for (sim::NodeId peer = 0; peer < nodes; ++peer) {
+    if (const bgp::Rib* rib = adj_rib_in(node, peer)) adj_in.emplace(peer, rib);
+  }
+  std::set<util::IpPrefix> prefixes(config.networks.begin(), config.networks.end());
+  for (const auto& [peer, rib] : adj_in) {
+    for (const auto& [prefix, route] : rib->table()) prefixes.insert(prefix);
+  }
+  for (const auto& [prefix, route] : node.loc_rib().table()) prefixes.insert(prefix);
+
+  std::vector<Decision> decisions;
+  for (const util::IpPrefix& prefix : prefixes) {
+    Decision decision;
+    decision.prefix = prefix;
+    if (std::find(config.networks.begin(), config.networks.end(), prefix) !=
+        config.networks.end()) {
+      bgp::Route local;
+      local.prefix = prefix;
+      local.attrs.origin = bgp::Origin::kIgp;
+      local.attrs.next_hop = config.address;
+      local.source.peer_node = bgp::kLocalRoute;
+      local.source.peer_asn = config.asn;
+      local.source.peer_router_id = config.router_id;
+      local.source.peer_address = config.address;
+      local.source.ebgp = false;
+      decision.candidates.push_back(local);
+    }
+    for (const auto& [peer, rib] : adj_in) {
+      if (const bgp::Route* route = rib->find(prefix)) decision.candidates.push_back(*route);
+    }
+    if (const bgp::Route* selected = node.loc_rib().find(prefix)) decision.selected = *selected;
+    decision.best = select(decision.candidates, config);
+    decisions.push_back(std::move(decision));
+  }
+  return decisions;
+}
+
+[[nodiscard]] std::vector<Decision> replayed_decisions(const bgp::NodeImplementation& node) {
+  std::vector<Decision> decisions;
+  node.for_each_decision([&](const bgp::NodeImplementation::DecisionView& view) {
+    Decision decision;
+    decision.prefix = view.prefix;
+    for (const bgp::Route* route : *view.candidates) decision.candidates.push_back(*route);
+    if (view.selected != nullptr) decision.selected = *view.selected;
+    decision.best = select(decision.candidates, node.config());
+    decisions.push_back(std::move(decision));
+  });
+  return decisions;
+}
+
+/// Leaves `prefix` in the node's Loc-RIB with no candidate behind it: the
+/// node's own checkpoint, minus every Adj-RIB-In entry for the prefix,
+/// applied back.
+void strand_in_loc_rib(bgp::NodeImplementation& node, const util::IpPrefix& prefix) {
+  util::ByteWriter writer;
+  node.checkpoint(writer);
+  util::ByteReader reader(writer.bytes());
+  auto parsed = node.parse(reader);
+  ASSERT_TRUE(parsed.ok());
+  if (const auto* router = dynamic_cast<const bgp::RouterCheckpoint*>(parsed.value().get())) {
+    bgp::RouterCheckpoint edited = *router;
+    for (auto& [peer, rib] : edited.adj_in) rib.erase(prefix);
+    ASSERT_TRUE(node.apply(edited).ok());
+  } else {
+    bgp2::FsmCheckpoint edited = dynamic_cast<const bgp2::FsmCheckpoint&>(*parsed.value());
+    for (auto& [peer, rib] : edited.state.adj_in) rib.erase(prefix);
+    ASSERT_TRUE(node.apply(edited).ok());
+  }
+}
+
+class DecisionReplayTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(DecisionReplayTest, WalkMatchesTheCopyingReferencePrefixForPrefix) {
+  bgp::SystemBlueprint blueprint = bgp::make_internet();
+  blueprint.set_all_implementations(GetParam());
+  System system(std::move(blueprint));
+  system.start();
+  ASSERT_TRUE(system.converge());
+
+  const sim::NodeId id = 0;
+  bgp::NodeImplementation& node = system.router(id);
+  ASSERT_EQ(node.implementation_id(), GetParam());
+  // A learned, selected prefix to strand in the Loc-RIB.
+  const auto learned = std::find_if(
+      node.loc_rib().table().begin(), node.loc_rib().table().end(),
+      [](const auto& entry) { return !entry.second.local(); });
+  ASSERT_NE(learned, node.loc_rib().table().end());
+  const util::IpPrefix stranded = (*learned).first;
+  strand_in_loc_rib(node, stranded);
+
+  const std::vector<Decision> want = reference_decisions(node, system.size());
+  const std::vector<Decision> got = replayed_decisions(node);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].prefix, want[i].prefix) << "decision " << i;
+    EXPECT_EQ(got[i].candidates, want[i].candidates) << want[i].prefix.to_string();
+    EXPECT_EQ(got[i].selected, want[i].selected) << want[i].prefix.to_string();
+    EXPECT_EQ(got[i].best, want[i].best) << want[i].prefix.to_string();
+  }
+
+  // The contract's edge cases are really in the walk: the stranded prefix
+  // (no candidates, a selection), a configured network nobody re-advertises
+  // (the local route alone), and prefixes where peer order matters.
+  const auto at = [&](const util::IpPrefix& prefix) {
+    return std::find_if(got.begin(), got.end(),
+                        [&](const Decision& d) { return d.prefix == prefix; });
+  };
+  ASSERT_NE(at(stranded), got.end());
+  EXPECT_TRUE(at(stranded)->candidates.empty());
+  EXPECT_TRUE(at(stranded)->selected.has_value());
+  const util::IpPrefix network = node.config().networks.front();
+  ASSERT_NE(at(network), got.end());
+  ASSERT_EQ(at(network)->candidates.size(), 1u);
+  EXPECT_TRUE(at(network)->candidates.front().local());
+  EXPECT_TRUE(std::any_of(got.begin(), got.end(),
+                          [](const Decision& d) { return d.candidates.size() >= 2; }));
+
+  // The stranded prefix is the one divergence the differential check sees.
+  const CheckVerdict verdict = DifferentialCheck().run(node);
+  EXPECT_EQ(verdict.counters.at("decisions"), want.size());
+  EXPECT_EQ(verdict.counters.at("divergent"), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, DecisionReplayTest, ::testing::Values("bgp", "fsm"));
 
 }  // namespace
 }  // namespace dice::core

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 
 #include "svc/artifact_store.hpp"
@@ -207,6 +208,23 @@ TEST(ArtifactStoreTest, CorruptFileOnDiskFailsTyped) {
   auto loaded = ArtifactStore(path).load();
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.error().code, "svc.store.bad_magic");
+  std::remove(path.c_str());
+}
+
+TEST(ArtifactStoreTest, EmptyAndTruncatedFilesLoadAsTypedErrors) {
+  const std::string path = ::testing::TempDir() + "svc_store_short.dsvc";
+  { std::ofstream out(path, std::ios::binary | std::ios::trunc); }
+  auto empty = ArtifactStore(path).load();
+  ASSERT_FALSE(empty.ok());
+  EXPECT_FALSE(empty.error().code.empty());
+
+  ArtifactStore store(path);
+  ASSERT_TRUE(store.save(make_contents()).ok());
+  const auto size = std::filesystem::file_size(path);
+  std::filesystem::resize_file(path, size - 5);
+  auto truncated = store.load();
+  ASSERT_FALSE(truncated.ok());
+  EXPECT_EQ(truncated.error().code, "svc.store.checksum_mismatch");
   std::remove(path.c_str());
 }
 
